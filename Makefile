@@ -1,11 +1,12 @@
 # Convenience targets for the reproduction repo.
 #
 #   make verify   - tier-1 test suite (ROADMAP.md's gate)
-#   make smoke    - REPRO_QUICK=1 answer-agreement + batch-vs-scalar smoke:
-#                   all four planners must produce identical answers, and
-#                   the batched map AND reduce paths must match the scalar
-#                   ones bit for bit, on a trimmed volume grid (fast
-#                   enough for CI)
+#   make smoke    - REPRO_QUICK=1 answer-agreement + batch-equivalence
+#                   smoke: all four planners must produce identical
+#                   answers, and the vectorized map AND reduce functions
+#                   must match the per-record reference lifted through
+#                   the batch runtime bit for bit, on a trimmed volume
+#                   grid (fast enough for CI)
 #   make lint     - ruff check (config in pyproject.toml); skipped with a
 #                   notice when ruff is not installed locally — CI always
 #                   installs and enforces it
@@ -20,8 +21,12 @@
 #                   coordinator mid-query, restart it with --recover,
 #                   and check the resumed query replays its checkpointed
 #                   waves and lands bit-identical rows
-#   make ci       - the full local equivalent of the CI gate:
-#                   lint + verify + smoke + serve-smoke + serve-recovery
+#   make results-unchanged - fail when the tracked benchmark tables
+#                   under benchmarks/results differ from the checkout
+#                   (the writers are deterministic; run after verify)
+#   make ci       - the full local equivalent of the CI gate: lint +
+#                   verify + results-unchanged + smoke + serve-smoke +
+#                   serve-recovery
 #   make bench    - hot-path microbenches (pytest-benchmark table)
 #   make hotpath  - append this revision's hot-path numbers to
 #                   BENCH_hotpaths.json (run with --label before first on
@@ -30,10 +35,13 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 PYTEST := PYTHONPATH=$(PYTHONPATH) python -m pytest
 
-.PHONY: verify smoke lint serve-smoke serve-recovery ci bench hotpath
+.PHONY: verify results-unchanged smoke lint serve-smoke serve-recovery ci bench hotpath
 
 verify:
 	$(PYTEST) -x -q
+
+results-unchanged:
+	git diff --exit-code -- benchmarks/results
 
 smoke:
 	REPRO_QUICK=1 $(PYTEST) -q \
@@ -53,7 +61,7 @@ serve-smoke:
 serve-recovery:
 	$(PYTEST) -q tests/serve/test_recovery_subprocess.py
 
-ci: lint verify smoke serve-smoke serve-recovery
+ci: lint verify results-unchanged smoke serve-smoke serve-recovery
 
 bench:
 	$(PYTEST) -q benchmarks/test_perf_hotpaths.py

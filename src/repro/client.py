@@ -28,8 +28,7 @@ The endpoint verbs mirror the service protocol: :meth:`Client.execute`
 enqueues and returns a query id, :meth:`Client.status` /
 :meth:`Client.cancel` / :meth:`Client.result` operate on it, and
 :meth:`Client.wait` / :meth:`Client.run` are the blocking conveniences
-built on top.  The historical name ``repro.serve.ServiceClient`` is a
-deprecated alias of this class.
+built on top.
 """
 
 from __future__ import annotations

@@ -28,6 +28,8 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as _np
+
 from repro.core.partitioner import HypercubePartitioner
 from repro.errors import ExecutionError
 from repro.joins.records import (
@@ -43,10 +45,6 @@ from repro.relational.predicates import JoinCondition
 from repro.relational.schema import Schema
 from repro.utils import stable_hash
 
-try:  # NumPy accelerates chunk routing; everything falls back cleanly.
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
 
 
 def _ready_conditions(
@@ -249,7 +247,7 @@ def _compile_checks(
 # ``merge_composites``, ``_key_values``) into tuple indexing compiled once
 # at job-build time.  Batch reducers are only installed when the input
 # covers are pairwise disjoint — the invariant that makes the compiled
-# merge exact; otherwise the job simply runs its scalar reducer.
+# merge exact; otherwise the runtime lifts the per-record reducer.
 # ---------------------------------------------------------------------------
 
 #: Candidate-count threshold above which sorted probes go through NumPy,
@@ -359,8 +357,6 @@ def _np_pair_mask(checks, accs: Sequence[Composite], cands: Sequence[Composite])
     which case callers run the scalar pair loop.  Conjunction of pure
     predicates, so evaluation order cannot change the mask.
     """
-    if _np is None:
-        return None
     num_cands = len(cands)
     mask = None
     for ls, lp, li, lo, compare, rs, rp, ri, ro in checks:
@@ -572,7 +568,7 @@ def make_hypercube_join_job(
         # (slab, lo, hi) spans in chunk-local coordinates; slabs clamp to
         # the top used slab exactly as the scalar mapper does.
         spans: List[Tuple[int, int, int]] = []
-        if _np is not None and count > 1024:
+        if count > 1024:
             slabs = _np.minimum(
                 _np.arange(base_index, base_index + count) // width, top
             )
@@ -712,7 +708,7 @@ def make_hypercube_join_job(
 
     # ---- batched reduce side: the same progressive join, with the probe
     # plans compiled onto positional covers (requires pairwise-disjoint
-    # dimension covers; otherwise the scalar reducer runs alone).
+    # dimension covers; otherwise the runtime lifts ``reducer``).
     batch_reducer = None
     dim_covers = [tuple(sorted(group)) for group in dim_aliases]
     flat_cover = [alias for cover in dim_covers for alias in cover]
@@ -821,7 +817,7 @@ def make_hypercube_join_job(
                             # equal-key candidates keep their input order,
                             # so emission matches the dict probe exactly.
                             use_np = False
-                            if _np is not None and len(cand_comps) >= _NP_MIN_PROBE:
+                            if len(cand_comps) >= _NP_MIN_PROBE:
                                 arr = _np.asarray(
                                     [comp[new_p][2][new_c] for comp in cand_comps]
                                 )
@@ -915,7 +911,7 @@ def make_hypercube_join_job(
                         lo_list: List[int]
                         hi_list: List[int]
                         use_np = False
-                        if _np is not None and count >= _NP_MIN_PROBE:
+                        if count >= _NP_MIN_PROBE:
                             arr = _np.asarray(vals)
                             use_np = _np.issubdtype(arr.dtype, _np.number)
                         if use_np:
@@ -991,7 +987,6 @@ def make_hypercube_join_job(
                         mask = None
                         if (
                             checks is not None
-                            and _np is not None
                             and len(ids_list) * num_cands >= _NP_MIN_PAIRS
                         ):
                             mask = _np_pair_mask(checks, comps_list, cand_comps)
@@ -1209,7 +1204,6 @@ def make_equi_join_job(
                 mask = None
                 if (
                     pair_checks is not None
-                    and _np is not None
                     and num_left * num_right >= _NP_MIN_PAIRS
                 ):
                     mask = _np_pair_mask(pair_checks, lefts, rights)
@@ -1378,7 +1372,6 @@ def make_broadcast_join_job(
                 mask = None
                 if (
                     pair_checks is not None
-                    and _np is not None
                     and num_big * num_small >= _NP_MIN_PAIRS
                 ):
                     mask = _np_pair_mask(pair_checks, bigs, smalls)
@@ -1677,7 +1670,6 @@ def make_equichain_join_job(
                         mask = None
                         if (
                             checks is not None
-                            and _np is not None
                             and len(partial) * num_cands >= _NP_MIN_PAIRS
                         ):
                             mask = _np_pair_mask(checks, partial, candidates)

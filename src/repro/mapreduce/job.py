@@ -55,11 +55,11 @@ class MapBatch:
 
     ``buckets[r]`` holds the chunk's shuffle groups destined for reduce
     task ``r``, keyed by shuffle key with values in emission order —
-    exactly the structure the scalar map loop builds pair by pair, so the
-    runtime merges chunk batches with dict/list extends instead of
-    re-routing every pair.  ``pair_count``/``pair_bytes`` carry the
-    chunk's map-output counters (bytes include the 12-byte per-pair
-    header the scalar path charges).
+    exactly what :func:`lift_mapper` builds pair by pair from the
+    per-record mapper, so the runtime merges chunk batches with dict/list
+    extends instead of re-routing every pair.  ``pair_count``/
+    ``pair_bytes`` carry the chunk's map-output counters (bytes include
+    the 12-byte per-pair header).
     """
 
     buckets: List[Dict[object, List[object]]]
@@ -69,8 +69,8 @@ class MapBatch:
 
 #: batch_mapper(source_tag, records, base_index) -> MapBatch; ``records``
 #: is a contiguous slice of the input file starting at ``base_index``.
-#: Must emit exactly what the scalar mapper would for the same records,
-#: in the same order — the runtime's equivalence tests hold it to that.
+#: Must emit exactly what the lifted per-record mapper would for the same
+#: records, in the same order — the equivalence tests hold it to that.
 BatchMapper = Callable[[str, Sequence[object], int], MapBatch]
 
 
@@ -79,14 +79,13 @@ class ReduceBatch:
     """Batched reduce output for one whole reduce task (bucket).
 
     ``outputs`` holds the task's output records in the exact order the
-    scalar reducer would emit them (key groups in bucket insertion order,
-    records in emission order within a group); ``comparisons`` is the
-    total the scalar reducer would charge via
-    :meth:`TaskContext.charge_comparisons` over the same bucket.  When a
-    batch reducer knows its value widths statically it may also fill
-    ``input_bytes`` (the scalar path's per-value width sum, computed
-    arithmetically); leaving it ``None`` makes the runtime derive it the
-    scalar way.
+    per-record reducer would emit them (key groups in bucket insertion
+    order, records in emission order within a group); ``comparisons`` is
+    the total it would charge via :meth:`TaskContext.charge_comparisons`
+    over the same bucket.  When a batch reducer knows its value widths
+    statically it may also fill ``input_bytes`` (the per-value width sum,
+    computed arithmetically); leaving it ``None`` makes the runtime sum
+    the widths value by value.
     """
 
     outputs: List[object]
@@ -99,7 +98,7 @@ class ReduceBatch:
 #: bucket insertion order and its value group is the flat slice
 #: ``values[group_offsets[i]:group_offsets[i + 1]]`` (key-major layout —
 #: ``len(group_offsets) == len(keys) + 1``).  Must produce exactly what
-#: the scalar reducer would for the same bucket; the batch-vs-scalar
+#: the lifted per-record reducer would for the same bucket; the
 #: equivalence suite holds it to that.
 BatchReducer = Callable[[Sequence[object], Sequence[object], Sequence[int]], ReduceBatch]
 
@@ -162,16 +161,16 @@ class MapReduceJobSpec:
     #: row widths (which may be far larger than the in-memory tuples).
     pair_width_fn: Optional[Callable[[object], int]] = None
     #: Optional vectorized mapper: maps a whole record chunk in one call,
-    #: returning pre-bucketed arrays (:class:`MapBatch`).  When present the
-    #: runtime prefers it over the per-record ``mapper``; both must agree
-    #: exactly (same buckets, same counters) — ``mapper`` remains the
-    #: executable specification.
+    #: returning pre-bucketed arrays (:class:`MapBatch`).  When absent the
+    #: runtime runs ``lift_mapper(spec)``; both must agree exactly (same
+    #: buckets, same counters) — ``mapper`` remains the executable
+    #: specification.
     batch_mapper: Optional[BatchMapper] = None
     #: Optional vectorized reducer: consumes a whole reduce task's bucket
     #: at once, key-major (flat value array + group offsets), returning
-    #: outputs and counters (:class:`ReduceBatch`).  When present the
-    #: runtime prefers it over the per-key-group ``reducer``; both must
-    #: agree exactly — ``reducer`` remains the executable specification.
+    #: outputs and counters (:class:`ReduceBatch`).  When absent the
+    #: runtime runs ``lift_reducer(spec)``; both must agree exactly —
+    #: ``reducer`` remains the executable specification.
     batch_reducer: Optional[BatchReducer] = None
     output_name: str = ""
 
@@ -192,6 +191,75 @@ class MapReduceJobSpec:
     @property
     def input_records(self) -> int:
         return sum(f.num_records for f in self.inputs)
+
+
+def lift_mapper(spec: MapReduceJobSpec) -> BatchMapper:
+    """``spec.mapper`` run once per record, as a :data:`BatchMapper`.
+
+    This is the per-record reference lifted through the batch runtime:
+    record ``base_index + offset`` of a chunk gets that global id as
+    ``ctx.record_index`` (the paper's Algorithm 1 id), so chunking never
+    changes what the mapper sees.  The closure captures the callables and
+    widths only, never ``spec`` (whose inputs hold every record), because
+    parallel backends ship it to workers.
+    """
+    name = spec.name
+    mapper = spec.mapper
+    partition = spec.partitioner
+    num_reducers = spec.num_reducers
+    fixed_width = spec.pair_width
+    width_fn = spec.pair_width_fn
+
+    def batch_mapper(tag: str, records: Sequence[object], base_index: int) -> MapBatch:
+        buckets: List[Dict[object, List[object]]] = [{} for _ in range(num_reducers)]
+        ctx = TaskContext()
+        pair_count = 0
+        pair_bytes = 0
+        for offset, record in enumerate(records):
+            ctx.record_index = base_index + offset
+            for key, value in mapper(tag, record, ctx):
+                index = partition(key, num_reducers)
+                if not 0 <= index < num_reducers:
+                    raise ExecutionError(
+                        f"job {name!r}: partitioner returned {index} "
+                        f"outside [0, {num_reducers})"
+                    )
+                bucket = buckets[index]
+                values = bucket.get(key)
+                if values is None:
+                    bucket[key] = [value]
+                else:
+                    values.append(value)
+                pair_count += 1
+                if fixed_width:
+                    pair_bytes += fixed_width
+                elif width_fn is not None:
+                    pair_bytes += 12 + width_fn(value)
+                else:
+                    pair_bytes += 12 + estimate_width(value)
+        return MapBatch(buckets, pair_count, pair_bytes)
+
+    return batch_mapper
+
+
+def lift_reducer(spec: MapReduceJobSpec) -> BatchReducer:
+    """``spec.reducer`` run once per key group, as a :data:`BatchReducer`.
+
+    Leaves ``input_bytes`` to the runtime's per-value width sum; like
+    :func:`lift_mapper` it never captures ``spec``.
+    """
+    reducer = spec.reducer
+
+    def batch_reducer(
+        keys: Sequence[object], values: Sequence[object], offsets: Sequence[int]
+    ) -> ReduceBatch:
+        ctx = TaskContext()
+        outputs: List[object] = []
+        for group, key in enumerate(keys):
+            outputs.extend(reducer(key, values[offsets[group] : offsets[group + 1]], ctx))
+        return ReduceBatch(outputs, ctx.comparisons)
+
+    return batch_reducer
 
 
 @dataclass

@@ -26,25 +26,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import ExecutionError
 from repro.mapreduce.backend import get_backend
 from repro.mapreduce.cancel import check_cancelled
-from repro.mapreduce.config import (
-    MAP_SHARDS_ENV,  # noqa: F401  (re-exported; PR 2's public location)
-    ClusterConfig,
-    execution_settings,
-)
+from repro.mapreduce.config import ClusterConfig, execution_settings
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile, SimulatedHDFS
-from repro.mapreduce.job import JobResult, MapReduceJobSpec, TaskContext, estimate_width
+from repro.mapreduce.job import (
+    JobResult,
+    MapReduceJobSpec,
+    TaskContext,
+    estimate_width,
+    lift_mapper,
+    lift_reducer,
+)
 from repro.utils import ceil_div, make_rng
-
-
-def map_shard_count() -> int:
-    """Chunk fan-out for the batched map phase (>= 1).
-
-    Kept for backward compatibility with PR 2; the knob now lives in
-    :class:`repro.mapreduce.config.ExecutionSettings` together with the
-    backend selection (``REPRO_EXEC_BACKEND`` / ``REPRO_EXEC_WORKERS``).
-    """
-    return execution_settings().map_shards
 
 
 class SimulatedCluster:
@@ -92,7 +85,7 @@ class SimulatedCluster:
         # or cancel fires between phases (and between the independent
         # work items inside each phase), never mid-record.
         check_cancelled()
-        buckets, map_ctx = self._run_map_phase(spec, metrics)
+        buckets, _ = self._run_map_phase(spec, metrics)
         check_cancelled()
         output_records, reducer_costs = self._run_reduce_phase(spec, buckets, metrics)
         self._charge_time(spec, metrics, map_units, reduce_units, reducer_costs)
@@ -115,76 +108,25 @@ class SimulatedCluster:
     def _run_map_phase(
         self, spec: MapReduceJobSpec, metrics: JobMetrics
     ) -> Tuple[List[Dict[object, List[object]]], TaskContext]:
-        """Run all mappers, bucket pairs per reducer; fills size counters."""
+        """Run all mappers, bucket pairs per reducer; fills size counters.
+
+        Each input file is cut into contiguous chunks; the batch mapper
+        (``spec.batch_mapper``, else the lifted per-record ``mapper``)
+        turns a chunk into a pre-bucketed :class:`MapBatch`; batches are
+        merged into the global buckets strictly in chunk order, so key
+        insertion order and per-key value order — hence reducer iteration
+        order, metrics, and answers — do not depend on the chunking.
+        Chunks are independent, which is what lets them spread over the
+        selected execution backend (``REPRO_EXEC_BACKEND``) without
+        changing any output — including over TCP to remote worker daemons
+        (``REPRO_WORKERS_ADDRS``), whose chunk batches come back
+        pickle-round-tripped but are merged by the very same loop.
+        """
         block = self.config.hadoop.fs_block_size
         metrics.num_map_tasks = sum(f.blocks(block) for f in spec.inputs)
         if metrics.num_map_tasks == 0:
             raise ExecutionError(f"job {spec.name!r}: all inputs are empty")
 
-        if spec.batch_mapper is not None:
-            return self._run_map_phase_batched(spec, metrics)
-
-        buckets: List[Dict[object, List[object]]] = [
-            {} for _ in range(spec.num_reducers)
-        ]
-        ctx = TaskContext()
-        pair_bytes = 0
-        pair_count = 0
-        # Hot loop: one iteration per emitted (key, value) pair.  Bind the
-        # per-pair callables/constants once; join jobs precompute their
-        # pair widths per alias set, so width_fn is a constant lookup.
-        mapper = spec.mapper
-        partition = spec.partitioner
-        num_reducers = spec.num_reducers
-        fixed_width = spec.pair_width
-        width_fn = spec.pair_width_fn
-        for file in spec.inputs:
-            check_cancelled()  # per-file: keeps the per-pair loop clean
-            tag = file.tag
-            for position, record in enumerate(file.records):
-                ctx.record_index = position
-                for key, value in mapper(tag, record, ctx):
-                    index = partition(key, num_reducers)
-                    if not 0 <= index < num_reducers:
-                        raise ExecutionError(
-                            f"job {spec.name!r}: partitioner returned {index} "
-                            f"outside [0, {num_reducers})"
-                        )
-                    bucket = buckets[index]
-                    values = bucket.get(key)
-                    if values is None:
-                        bucket[key] = [value]
-                    else:
-                        values.append(value)
-                    pair_count += 1
-                    if fixed_width:
-                        pair_bytes += fixed_width
-                    elif width_fn is not None:
-                        pair_bytes += 12 + width_fn(value)
-                    else:
-                        pair_bytes += 12 + estimate_width(value)
-        metrics.map_output_records = pair_count
-        metrics.map_output_bytes = pair_bytes
-        metrics.shuffle_bytes = pair_bytes
-        return buckets, ctx
-
-    def _run_map_phase_batched(
-        self, spec: MapReduceJobSpec, metrics: JobMetrics
-    ) -> Tuple[List[Dict[object, List[object]]], TaskContext]:
-        """Batched map phase: whole record chunks per call, merged in order.
-
-        Each input file is cut into contiguous chunks; ``batch_mapper``
-        turns a chunk into a pre-bucketed :class:`MapBatch`; batches are
-        merged into the global buckets strictly in chunk order, so key
-        insertion order and per-key value order — hence reducer iteration
-        order, metrics, and answers — are identical to the scalar loop.
-        Chunks are independent, which is what lets them shard across the
-        selected execution backend (``REPRO_EXEC_BACKEND`` /
-        ``REPRO_MAP_SHARDS``) without changing any output — including
-        over TCP to remote worker daemons (``REPRO_WORKERS_ADDRS``),
-        whose chunk batches come back pickle-round-tripped but are
-        merged by the very same in-order loop.
-        """
         settings = execution_settings()
         fanout = settings.chunk_fanout
         chunks: List[Tuple[str, Sequence[object], int]] = []
@@ -199,8 +141,7 @@ class SimulatedCluster:
             for start in range(0, len(records), per_chunk):
                 chunks.append((file.tag, records[start : start + per_chunk], start))
 
-        batch_mapper = spec.batch_mapper
-        assert batch_mapper is not None
+        batch_mapper = spec.batch_mapper or lift_mapper(spec)
 
         def map_chunk(index: int):
             # Per-chunk cancellation checkpoint: active when the serial
@@ -210,8 +151,7 @@ class SimulatedCluster:
             check_cancelled()
             return batch_mapper(*chunks[index])
 
-        backend = get_backend(settings)
-        batches = backend.run_tasks(map_chunk, len(chunks))
+        batches = get_backend(settings).run_tasks(map_chunk, len(chunks))
 
         buckets: List[Dict[object, List[object]]] = [
             {} for _ in range(spec.num_reducers)
@@ -252,57 +192,13 @@ class SimulatedCluster:
         buckets: List[Dict[object, List[object]]],
         metrics: JobMetrics,
     ) -> Tuple[List[object], List[float]]:
-        """Run reducers; returns output records and per-reducer cost seconds."""
-        if spec.batch_reducer is not None:
-            return self._run_reduce_phase_batched(spec, buckets, metrics)
-
-        output_records: List[object] = []
-        reducer_costs: List[float] = []
-        reducer = spec.reducer
-        fixed_width = spec.pair_width
-        width_fn = spec.pair_width_fn
-        append_output = output_records.append
-        for bucket in buckets:
-            check_cancelled()  # per-bucket: one reduce task is the grain
-            ctx = TaskContext()
-            input_bytes = 0
-            input_values = 0
-            produced = 0
-            for key, values in bucket.items():
-                if fixed_width:
-                    input_bytes += fixed_width * len(values)
-                elif width_fn is not None:
-                    input_bytes += 12 * len(values) + sum(
-                        width_fn(v) for v in values
-                    )
-                else:
-                    input_bytes += sum(12 + estimate_width(v) for v in values)
-                input_values += len(values)
-                for record in reducer(key, values, ctx):
-                    append_output(record)
-                    produced += 1
-            metrics.reducer_input_bytes.append(input_bytes)
-            metrics.reduce_comparisons += ctx.comparisons
-            reducer_costs.append(
-                self._reduce_task_cost(
-                    spec, input_bytes, input_values, ctx.comparisons, produced
-                )
-            )
-        return output_records, reducer_costs
-
-    def _run_reduce_phase_batched(
-        self,
-        spec: MapReduceJobSpec,
-        buckets: List[Dict[object, List[object]]],
-        metrics: JobMetrics,
-    ) -> Tuple[List[object], List[float]]:
-        """Batched reduce phase: whole buckets per call, key-major layout.
+        """Run reducers; returns output records and per-reducer cost seconds.
 
         Each bucket's key groups are flattened into one value array plus
-        group offsets and handed to ``batch_reducer`` in a single call;
-        the returned :class:`ReduceBatch` carries the task's outputs (in
-        scalar emission order) and its comparison count, so every counter,
-        cost term, and output record is identical to the scalar loop.
+        group offsets and handed to the batch reducer
+        (``spec.batch_reducer``, else the lifted per-group ``reducer``) in
+        a single call; the returned :class:`ReduceBatch` carries the
+        task's outputs and its comparison count.
 
         Reduce tasks are independent by construction (each consumes one
         bucket and shares nothing), so whole buckets are dispatched
@@ -313,56 +209,12 @@ class SimulatedCluster:
         exactly-once folding under worker loss, and degrades to this
         same serial arithmetic when no worker daemons answer).
         """
-        batch_reducer = spec.batch_reducer
-        assert batch_reducer is not None
+        batch_reducer = spec.batch_reducer or lift_reducer(spec)
         fixed_width = spec.pair_width
         width_fn = spec.pair_width_fn
-        backend = get_backend()
-
-        if backend.name == "serial":
-            # Inline loop for the serial default: identical arithmetic to
-            # the task path below, without paying a per-bucket closure
-            # call and result repack on the single-core hot path (a
-            # measured ~8% of the warm fig-10 e2e microbench).  Any
-            # change here MUST be mirrored in reduce_bucket below —
-            # tests/mapreduce/test_exec_backends.py enforces the
-            # bit-identity of the two paths across the full query grid.
-            output_records: List[object] = []
-            reducer_costs: List[float] = []
-            for bucket in buckets:
-                check_cancelled()  # same grain as the scalar reduce loop
-                keys = list(bucket)
-                offsets: List[int] = [0]
-                flat: List[object] = []
-                for values in bucket.values():
-                    flat.extend(values)
-                    offsets.append(len(flat))
-                batch = batch_reducer(keys, flat, offsets)
-                input_values = len(flat)
-                if batch.input_bytes is not None:
-                    input_bytes = batch.input_bytes
-                elif fixed_width:
-                    input_bytes = fixed_width * input_values
-                elif width_fn is not None:
-                    input_bytes = 12 * input_values + sum(width_fn(v) for v in flat)
-                else:
-                    input_bytes = sum(12 + estimate_width(v) for v in flat)
-                output_records.extend(batch.outputs)
-                metrics.reducer_input_bytes.append(input_bytes)
-                metrics.reduce_comparisons += batch.comparisons
-                reducer_costs.append(
-                    self._reduce_task_cost(
-                        spec,
-                        input_bytes,
-                        input_values,
-                        batch.comparisons,
-                        len(batch.outputs),
-                    )
-                )
-            return output_records, reducer_costs
 
         def reduce_bucket(index: int) -> Tuple[List[object], int, int, float]:
-            check_cancelled()  # active on the session thread (fallbacks)
+            check_cancelled()  # one reduce task is the grain
             bucket = buckets[index]
             keys = list(bucket)
             offsets: List[int] = [0]
@@ -385,7 +237,7 @@ class SimulatedCluster:
             )
             return batch.outputs, input_bytes, batch.comparisons, cost
 
-        results = backend.run_tasks(reduce_bucket, len(buckets))
+        results = get_backend().run_tasks(reduce_bucket, len(buckets))
 
         output_records: List[object] = []
         reducer_costs: List[float] = []

@@ -332,10 +332,7 @@ def split_task_fn(
         raise WireError("cloudpickle unavailable; cannot ship closures")
     from repro.mapreduce.hdfs import DistributedFile
 
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy is a core dependency
-        numpy = None
+    import numpy
 
     payloads: Dict[str, bytes] = {}
     memo: Dict[int, Optional[str]] = {}
@@ -348,7 +345,7 @@ def split_task_fn(
         elif isinstance(obj, (list, tuple, dict)):
             if len(obj) < min_items:
                 return None
-        elif numpy is not None and isinstance(obj, numpy.ndarray):
+        elif isinstance(obj, numpy.ndarray):
             if obj.nbytes < min_bytes:
                 return None
         else:

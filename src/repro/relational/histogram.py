@@ -96,6 +96,8 @@ class Histogram:
         if lo == hi:
             return cls([Bucket(lo, hi, 1.0)], distinct=1)
         width = (hi - lo) / buckets
+        if width == 0.0:  # a subnormal span underflows when split
+            return cls([Bucket(lo, hi, 1.0)], distinct=distinct)
         counts = [0] * buckets
         for value in ordered:
             index = min(int((value - lo) / width), buckets - 1)

@@ -85,7 +85,6 @@ from repro.mapreduce.cancel import cancel_scope, check_cancelled
 from repro.mapreduce.config import (
     EXEC_BACKEND_ENV,
     EXEC_WORKERS_ENV,
-    MAP_SHARDS_ENV,
     STRICT_FLEET_ENV,
     TASK_RETRIES_ENV,
     BLOB_SHIP_ENV,
@@ -130,7 +129,6 @@ ALLOWED_KNOBS = frozenset(
         TASK_RETRIES_ENV,
         WORKER_HEARTBEAT_ENV,
         WORKER_CONNECT_TIMEOUT_ENV,
-        MAP_SHARDS_ENV,
         STRICT_FLEET_ENV,
         BLOB_SHIP_ENV,
     }

@@ -138,13 +138,14 @@ class TestBatchProperties:
 
 
 class TestNumpyFallback:
-    def test_pure_python_fallback_matches(self, monkeypatch):
-        """With NumPy disabled the batch APIs fall back to scalar loops."""
-        monkeypatch.setattr(hilbert, "_np", None)
-        bits, dims = 3, 3
-        n = curve_length(bits, dims)
-        reference = [index_to_point(i, bits, dims) for i in range(n)]
-        assert [
-            tuple(p) for p in hilbert._decode_batch(range(n), bits, dims)
-        ] == reference
-        assert hilbert._encode_batch(reference, bits, dims) == list(range(n))
+    def test_pure_python_fallback_matches(self):
+        """Past 62 index bits the batch APIs fall back to scalar loops;
+        both sides of that size gate match the scalar codec."""
+        for bits, dims in ((31, 2), (32, 2)):
+            top = curve_length(bits, dims) - 1
+            indices = [0, 1, 2, top // 3, top - 1, top]
+            reference = [tuple(index_to_point(i, bits, dims)) for i in indices]
+            assert [
+                tuple(p) for p in hilbert._decode_batch(indices, bits, dims)
+            ] == reference
+            assert hilbert._encode_batch(reference, bits, dims) == indices

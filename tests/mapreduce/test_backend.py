@@ -35,7 +35,6 @@ class TestSettings:
             "REPRO_WORKER_HEARTBEAT_S",
             "REPRO_TASK_RETRIES",
             "REPRO_WORKER_CONNECT_TIMEOUT_S",
-            "REPRO_MAP_SHARDS",
             "REPRO_NP_MIN_PROBE",
             "REPRO_NP_MIN_PAIRS",
             "REPRO_PLAN_DISK_CACHE",
@@ -44,7 +43,6 @@ class TestSettings:
             monkeypatch.delenv(name, raising=False)
         settings = execution_settings()
         assert settings.backend == "serial"
-        assert settings.map_shards == 1
         assert settings.workers_addrs == ()
         assert settings.worker_heartbeat_s == 2.0
         assert settings.task_retries == 2
@@ -53,6 +51,7 @@ class TestSettings:
         assert settings.np_min_pairs == 256
         assert not settings.plan_disk_cache
         assert not settings.parallel
+        assert settings.chunk_fanout == 1
 
     def test_explicit_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "process")
@@ -61,26 +60,15 @@ class TestSettings:
         assert settings.backend == "process"
         assert settings.effective_workers == 3
         assert settings.parallel
-
-    def test_legacy_map_shards_selects_threads(self, monkeypatch):
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_EXEC_WORKERS", raising=False)
-        monkeypatch.delenv("REPRO_WORKERS_ADDRS", raising=False)
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "4")
-        settings = execution_settings()
-        assert settings.backend == "thread"
-        assert settings.effective_workers == 4
-        assert settings.chunk_fanout == 4
+        assert settings.chunk_fanout == 3
 
     def test_garbage_values_fall_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_BACKEND", "quantum")
         monkeypatch.setenv("REPRO_EXEC_WORKERS", "lots")
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "-3")
         monkeypatch.delenv("REPRO_WORKERS_ADDRS", raising=False)
         settings = execution_settings()
         assert settings.backend == "serial"
         assert settings.workers == 0
-        assert settings.map_shards == 1
 
     def test_np_gates_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_NP_MIN_PROBE", "9")
@@ -114,6 +102,7 @@ class TestDistributedSettings:
         assert settings.workers_addrs == ("127.0.0.1:7601", "127.0.0.1:7602")
         assert settings.effective_workers == 2
         assert settings.parallel
+        assert settings.chunk_fanout == 2
 
     def test_malformed_entries_are_skipped(self, monkeypatch):
         monkeypatch.setenv(
@@ -165,6 +154,7 @@ class TestDistributedSettings:
     def test_single_worker_is_still_parallel(self, monkeypatch):
         """One remote daemon is worth dispatching to — unlike a 1-thread
         pool, it offloads the coordinator."""
+        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
         monkeypatch.setenv("REPRO_WORKERS_ADDRS", "127.0.0.1:7601")
         settings = execution_settings()
         assert settings.effective_workers == 1
@@ -179,21 +169,6 @@ class TestDistributedSettings:
         assert settings.effective_workers == 3
         # The addrs still parse (a later distributed run can use them).
         assert settings.workers_addrs == ("127.0.0.1:7601",)
-
-    def test_legacy_map_shards_conflict_resolves_to_distributed(self, monkeypatch):
-        """REPRO_MAP_SHARDS>1 (PR 2) used to imply the thread backend;
-        configured worker daemons outrank it, and the shard count then
-        only shapes the chunk fan-out."""
-        monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "4")
-        monkeypatch.setenv(
-            "REPRO_WORKERS_ADDRS", "127.0.0.1:7601,127.0.0.1:7602"
-        )
-        settings = execution_settings()
-        assert settings.backend == "distributed"
-        assert settings.effective_workers == 2
-        assert settings.map_shards == 4
-        assert settings.chunk_fanout == 4  # max(workers, legacy shards)
 
     def test_heartbeat_and_retry_knobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKER_HEARTBEAT_S", "0.5")
@@ -314,7 +289,6 @@ class TestOrdering:
 class TestSelectionAndNesting:
     def test_serial_by_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_EXEC_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_MAP_SHARDS", raising=False)
         monkeypatch.delenv("REPRO_WORKERS_ADDRS", raising=False)
         assert get_backend().name == "serial"
 

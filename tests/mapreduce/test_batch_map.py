@@ -5,11 +5,11 @@ import dataclasses
 import pytest
 
 from repro.errors import ExecutionError
-from repro.mapreduce.config import ClusterConfig
+from repro.mapreduce.config import ClusterConfig, execution_settings
 from repro.mapreduce.counters import JobMetrics
 from repro.mapreduce.hdfs import DistributedFile
 from repro.mapreduce.job import MapBatch, MapReduceJobSpec, default_partitioner
-from repro.mapreduce.runtime import SimulatedCluster, map_shard_count
+from repro.mapreduce.runtime import SimulatedCluster
 
 
 def make_spec(num_records=100, num_reducers=4, with_batch=True):
@@ -62,19 +62,14 @@ class TestBatchedMapPhase:
 
     def test_sharded_matches_serial(self, monkeypatch):
         serial_buckets, serial_metrics = run_map(make_spec())
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "3")
-        assert map_shard_count() == 3
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "thread")
+        monkeypatch.setenv("REPRO_EXEC_WORKERS", "3")
+        assert execution_settings().chunk_fanout == 3
         sharded_buckets, sharded_metrics = run_map(make_spec())
         assert sharded_buckets == serial_buckets
         for sharded, serial in zip(sharded_buckets, serial_buckets):
             assert list(sharded) == list(serial)
         assert sharded_metrics.shuffle_bytes == serial_metrics.shuffle_bytes
-
-    def test_shard_count_parses_garbage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "nope")
-        assert map_shard_count() == 1
-        monkeypatch.setenv("REPRO_MAP_SHARDS", "-5")
-        assert map_shard_count() == 1
 
     def test_wrong_bucket_count_raises(self):
         spec = make_spec()

@@ -42,7 +42,11 @@ class TestExecutionSemantics:
         result = cluster.run_job(word_count_spec(["x"]))
         assert cluster.hdfs.get(result.output.name) is result.output
 
-    def test_record_index_visible_to_mapper(self):
+    def test_record_index_visible_to_mapper(self, monkeypatch):
+        # Observes the mapper through a parent-side list, which only works
+        # in-process and in one chunk: pin the serial backend so the test
+        # stays valid under a REPRO_EXEC_BACKEND=process run of the suite.
+        monkeypatch.setenv("REPRO_EXEC_BACKEND", "serial")
         cluster = SimulatedCluster()
         file = DistributedFile("f", records=["a", "b", "c"], record_width=8)
         seen = []
